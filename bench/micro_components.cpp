@@ -62,25 +62,34 @@ void BM_LruOffer(benchmark::State& state) {
 }
 BENCHMARK(BM_LruOffer)->Arg(1000)->Arg(10000);
 
-void BM_FrequentKeyTableHit(benchmark::State& state) {
-  class NullSink final : public mr::EmitSink {
-    void emit(std::string_view, std::string_view) override {}
+/// Frequency-buffering's table path: offers against the frozen top-3000
+/// set in the paper's 30%-of-16-MiB budget (hits, misses and combines).
+void BM_CombineTableFrozenSetOffer(benchmark::State& state) {
+  class NullSink final : public mr::PartitionedSink {
+    void put(std::uint32_t, std::string_view, std::string_view) override {}
   } sink;
   mr::TaskMetrics metrics;
   apps::WordCountCombiner combiner;
   std::vector<std::string> hot;
   for (int i = 1; i <= 3000; ++i) hot.push_back(textgen::word_for_rank(i));
-  freqbuf::FrequentKeyTable table(hot, {}, &combiner, sink, metrics);
+  mr::CombineTableConfig config;
+  config.admit_all = false;
+  config.budget_bytes = (16u << 20) * 3 / 10;
+  mr::CombineTable table(
+      config, &combiner, sink,
+      [](std::uint64_t) -> std::string { std::abort(); }, metrics);
+  table.admit(hot);
   const auto keys = zipf_keys(1 << 16, 1.0);
   std::string value;
   put_varint(value, 1);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.offer(keys[i++ & (keys.size() - 1)], value));
+    benchmark::DoNotOptimize(
+        table.offer(0, keys[i++ & (keys.size() - 1)], value));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FrequentKeyTableHit);
+BENCHMARK(BM_CombineTableFrozenSetOffer);
 
 void BM_SpillBufferPipeline(benchmark::State& state) {
   // Producer/consumer throughput of the circular buffer at a given spill

@@ -28,8 +28,9 @@ struct MapSideRun {
 /// path proper — everything except user map() code, input read and idle
 /// time. In kSort mode the task runs map thread + support thread (sort /
 /// combine / write land on the support metrics); in kHash mode the
-/// sharded hash-combine runs everything on the map thread (flush time
-/// lands in its kSort/kSpillWrite buckets) — summing the op buckets over
+/// combining table works on the map thread (its flushes land in the
+/// map thread's kSort/kCombine/kSpillWrite buckets) and the support
+/// thread takes what the table lets go — summing the op buckets over
 /// both structs measures the two modes with one formula.
 MapSideRun run_map_side(const std::filesystem::path& corpus,
                         const TempDir& scratch, mr::CombineMode mode,
@@ -104,7 +105,7 @@ int main() {
   const double hash_fw_ns = ns_per(hash.framework_ns, hash.records);
   const double hash_wall_ns = ns_per(hash.wall_ns, hash.records);
   std::printf("  hash  framework %8.1f ns/record "
-              "(emit+combine-on-insert+flush)\n",
+              "(emit+table+flush+sort+write+merge)\n",
               hash_fw_ns);
   std::printf("  hash  wall      %8.1f ns/record (incl. user map + read)\n",
               hash_wall_ns);

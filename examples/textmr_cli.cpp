@@ -9,7 +9,7 @@
 //   textmr_cli gen graph OUT.txt [--pages N]
 //   textmr_cli run APP INPUT... --out DIR [--reducers R] [--freq] [--matcher]
 //              [--topk K] [--sample S] [--buffer MB] [--report]
-//              [--hash-combine] [--hash-shards N]
+//              [--hash-combine]
 //              [--simd-tokenize scalar|swar|simd|auto]
 //              [--skew-partitioner] [--skew-split-threshold X]
 //              [--trace FILE] [--trace-jsonl FILE] [--metrics-json FILE]
@@ -94,7 +94,7 @@ int usage() {
                "  textmr_cli gen graph OUT [--pages N]\n"
                "  textmr_cli run APP INPUT... --out DIR [--reducers R]\n"
                "             [--freq] [--matcher] [--topk K] [--sample S]\n"
-               "             [--hash-combine] [--hash-shards N]\n"
+               "             [--hash-combine]\n"
                "             [--simd-tokenize scalar|swar|simd|auto]\n"
                "             [--buffer MB] [--report]\n"
                "             [--skew-partitioner] [--skew-split-threshold X]\n"
@@ -108,7 +108,7 @@ int usage() {
                "  textmr_cli worker APP INPUT... --out DIR --connect H:P\n"
                "             [--idle-timeout-ms MS] [same job flags as run]\n"
                "  APP: wordcount invertedindex wordpostag accesslogsum\n"
-               "       accesslogjoin pagerank\n");
+               "       accesslogjoin pagerank accesslogjoinsorted sessionize\n");
   return 2;
 }
 
@@ -127,16 +127,6 @@ std::optional<cluster::Endpoint> parse_endpoint(const std::string& text,
   ep.host = text.substr(0, colon);
   ep.port = static_cast<std::uint16_t>(port);
   return ep;
-}
-
-std::optional<apps::AppBundle> bundle_for(const std::string& name) {
-  if (name == "wordcount") return apps::wordcount_app();
-  if (name == "invertedindex") return apps::inverted_index_app();
-  if (name == "wordpostag") return apps::word_pos_tag_app();
-  if (name == "accesslogsum") return apps::access_log_sum_app();
-  if (name == "accesslogjoin") return apps::access_log_join_app();
-  if (name == "pagerank") return apps::pagerank_app();
-  return std::nullopt;
 }
 
 int cmd_gen(const Args& args) {
@@ -189,7 +179,7 @@ int cmd_gen(const Args& args) {
 // over the wire, so both sides derive them from the same APP name and
 // flags. Returns nullopt on bad arguments (caller prints usage).
 std::optional<mr::JobSpec> build_job_spec(const Args& args) {
-  const auto bundle = bundle_for(args.positional[1]);
+  const auto bundle = apps::find_app(args.positional[1]);
   if (!bundle.has_value()) return std::nullopt;
   auto out_it = args.options.find("out");
   if (out_it == args.options.end() || args.positional.size() < 3) {
@@ -210,13 +200,10 @@ std::optional<mr::JobSpec> build_job_spec(const Args& args) {
   spec.spill_buffer_bytes =
       static_cast<std::size_t>(args.u64("buffer", 16)) << 20;
   spec.use_spill_matcher = args.flag("matcher");
-  // --hash-combine swaps the map-side sort pipeline for the sharded
-  // hash-combine path (DESIGN.md §15); output is byte-identical.
-  if (args.flag("hash-combine")) {
-    spec.combine_mode = mr::CombineMode::kHash;
-    spec.hash_combine_shards = static_cast<std::uint32_t>(
-        args.u64("hash-shards", spec.hash_combine_shards));
-  }
+  // --hash-combine puts the map-side combining table, admitting every
+  // key, in front of the sort pipeline (DESIGN.md §15); output is
+  // byte-identical.
+  if (args.flag("hash-combine")) spec.combine_mode = mr::CombineMode::kHash;
   // --simd-tokenize selects the word-tokenizer kernel (scalar|swar|simd|
   // auto). Process-global; every kernel is oracle-equivalent, so a worker
   // need not agree with its coordinator.

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/access_log.hpp"
@@ -190,6 +193,33 @@ inline std::vector<AppBundle> paper_apps(std::uint32_t pos_work_passes = 24) {
   return {wordcount_app(),      inverted_index_app(),
           word_pos_tag_app(pos_work_passes), access_log_sum_app(),
           access_log_join_app(), pagerank_app()};
+}
+
+/// The app registry: every single-job application, the paper's six
+/// followed by the wider suite. The two-job TF-IDF pipeline and the
+/// parameterized SynText generator are wired by their callers.
+inline std::vector<AppBundle> single_job_apps(
+    std::uint32_t pos_work_passes = 24) {
+  std::vector<AppBundle> apps = paper_apps(pos_work_passes);
+  apps.push_back(access_log_join_sorted_app());
+  apps.push_back(sessionize_app());
+  return apps;
+}
+
+/// Resolves a registry name ignoring ASCII case, so "WordCount" and the
+/// CLI's "wordcount" name the same app.
+inline std::optional<AppBundle> find_app(std::string_view name,
+                                         std::uint32_t pos_work_passes = 24) {
+  const auto lower = [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  };
+  for (AppBundle& app : single_job_apps(pos_work_passes)) {
+    if (std::equal(name.begin(), name.end(), app.name.begin(), app.name.end(),
+                   [&](char a, char b) { return lower(a) == lower(b); })) {
+      return std::move(app);
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace textmr::apps

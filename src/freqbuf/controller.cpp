@@ -100,16 +100,12 @@ void NodeKeyCache::attach_file(std::filesystem::path path) {
 }
 
 FreqBufferController::FreqBufferController(const FreqBufConfig& config,
-                                           std::uint64_t table_budget_bytes,
-                                           mr::Reducer* combiner,
-                                           mr::EmitSink& spill_sink,
+                                           FreezeFn on_freeze,
                                            mr::TaskMetrics& metrics,
                                            NodeKeyCache* node_cache,
                                            obs::TraceBuffer* trace)
     : config_(config),
-      table_budget_bytes_(table_budget_bytes),
-      combiner_(combiner),
-      spill_sink_(spill_sink),
+      on_freeze_(std::move(on_freeze)),
       metrics_(metrics),
       node_cache_(node_cache),
       trace_(trace) {
@@ -122,7 +118,8 @@ FreqBufferController::FreqBufferController(const FreqBufConfig& config,
       // to the optimization stage (paper §III-B).
       obs::record_instant(trace_, "freq", "freq_cached_keys", "keys",
                           static_cast<double>(cached->size()));
-      start_optimize(std::move(*cached));
+      stage_ = Stage::kOptimize;
+      on_freeze_(std::move(*cached));
       return;
     }
   }
@@ -203,75 +200,32 @@ void FreqBufferController::freeze_keys() {
     node_cache_->put(keys);
   }
   sketch_.reset();
-  start_optimize(std::move(keys));
-}
-
-void FreqBufferController::start_optimize(std::vector<std::string> keys) {
-  if (combiner_ == nullptr) {
-    // Without a combiner the table could only delay data, not shrink it
-    // (pure overhead); keep the profiling cost honest but absorb nothing,
-    // matching the paper's ~100% runtime for AccessLogJoin (Table III).
-    keys.clear();
-  }
-  FrequentKeyTable::Options options;
-  options.budget_bytes = table_budget_bytes_;
-  options.per_key_limit_bytes = config_.per_key_limit_bytes;
-  table_ = std::make_unique<FrequentKeyTable>(
-      std::move(keys), options, combiner_, spill_sink_, metrics_);
   stage_ = Stage::kOptimize;
+  on_freeze_(std::move(keys));
 }
 
-bool FreqBufferController::offer(std::string_view key,
-                                 std::string_view value) {
+void FreqBufferController::observe(std::string_view key) {
   ++records_seen_;
-  switch (stage_) {
-    case Stage::kPreProfile: {
-      mr::ScopedTimer timer(metrics_, mr::Op::kProfile);
-      pre_counts_.offer(key);
-      return false;
-    }
-    case Stage::kProfile: {
-      mr::ScopedTimer timer(metrics_, mr::Op::kProfile);
-      sketch_->offer(key);
-      return false;
-    }
-    case Stage::kOptimize:
-      // Sampled time-series of the table's occupancy and hit rate (one
-      // point per 1024 records; a single branch when tracing is off).
-      if (trace_ != nullptr && (records_seen_ & 1023u) == 0) {
-        obs::record_counter(trace_, "freq", "freq_buffered_bytes",
-                            static_cast<double>(table_->buffered_bytes()));
-        obs::record_counter(
-            trace_, "freq", "freq_hit_rate",
-            static_cast<double>(metrics_.freq_hits) /
-                static_cast<double>(records_seen_));
-      }
-      // No timer here: the table accounts its fast path to kFreqTable and
-      // its combine/evict slow paths to kCombine/kEmit themselves.
-      return table_->offer(key, value);
+  mr::ScopedTimer timer(metrics_, mr::Op::kProfile);
+  if (stage_ == Stage::kPreProfile) {
+    pre_counts_.offer(key);
+  } else if (stage_ == Stage::kProfile) {
+    sketch_->offer(key);
   }
-  return false;
 }
 
 void FreqBufferController::finish() {
-  if (stage_ != Stage::kOptimize) {
-    // Input ended before profiling completed (tiny split): freeze now so
-    // the node cache is still populated for sibling tasks.
-    if (stage_ == Stage::kPreProfile) {
-      if (records_seen_ == 0) return;
-      enter_profile_stage();
-      for (const auto& [key, count] : pre_counts_.top(pre_counts_.distinct())) {
-        for (std::uint64_t i = 0; i < count; ++i) sketch_->offer(key);
-      }
+  if (stage_ == Stage::kOptimize) return;
+  // Input ended before profiling completed (tiny split): freeze now so
+  // the node cache is still populated for sibling tasks.
+  if (stage_ == Stage::kPreProfile) {
+    if (records_seen_ == 0) return;
+    enter_profile_stage();
+    for (const auto& [key, count] : pre_counts_.top(pre_counts_.distinct())) {
+      for (std::uint64_t i = 0; i < count; ++i) sketch_->offer(key);
     }
-    freeze_keys();
   }
-  if (table_ != nullptr) {
-    obs::record_instant(trace_, "freq", "freq_flush", "buffered_bytes",
-                        static_cast<double>(table_->buffered_bytes()),
-                        "keys", static_cast<double>(table_->num_keys()));
-    table_->flush();
-  }
+  freeze_keys();
 }
 
 }  // namespace textmr::freqbuf

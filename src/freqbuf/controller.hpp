@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -9,9 +10,7 @@
 #include <vector>
 
 #include "common/mutex.hpp"
-#include "freqbuf/frequent_key_table.hpp"
 #include "mr/metrics.hpp"
-#include "mr/types.hpp"
 #include "obs/trace.hpp"
 #include "sketch/exact_counter.hpp"
 #include "sketch/space_saving.hpp"
@@ -42,9 +41,6 @@ struct FreqBufConfig {
   /// The engine shrinks the spill buffer accordingly, keeping the total
   /// memory fixed.
   double table_budget_fraction = 0.3;
-
-  /// Per-key buffered-value limit that triggers an eager combine().
-  std::uint64_t per_key_limit_bytes = 4096;
 
   /// Space-Saving capacity; 0 means 4 * top_k (a realistic budget that is
   /// below the algorithm's exactness guarantee, as in §V-B1).
@@ -101,22 +97,21 @@ class NodeKeyCache {
 ///   kPreProfile --(pre_profile_fraction reached)--> kProfile
 ///   kProfile    --(sampling fraction s reached)---> kOptimize
 ///
-/// During the first two stages every record continues down the standard
-/// spill path (offer() returns false) while being counted; in kOptimize
-/// records with frequent keys are absorbed by the FrequentKeyTable.
-/// With a shared NodeKeyCache holding a frozen set, a task starts directly
-/// in kOptimize.
+/// During the first two stages every map-output key is counted
+/// (observe()); entering kOptimize freezes the top-k set and hands it to
+/// `on_freeze`, which installs it as the admission set of the map-side
+/// combining table (mr::CombineTable). With a shared NodeKeyCache holding
+/// a frozen set, a task starts directly in kOptimize.
 class FreqBufferController {
  public:
   enum class Stage { kPreProfile, kProfile, kOptimize };
+  using FreezeFn = std::function<void(std::vector<std::string> keys)>;
 
-  /// `spill_sink` is where absorbed records re-enter the standard
-  /// dataflow (table overflow + final flush). `combiner` may be null.
-  /// `trace` (optional, owned by the map thread) receives stage
-  /// transitions and sampled occupancy / hit-rate counters.
-  FreqBufferController(const FreqBufConfig& config,
-                       std::uint64_t table_budget_bytes,
-                       mr::Reducer* combiner, mr::EmitSink& spill_sink,
+  /// `on_freeze` receives the frozen key set exactly once: here when a
+  /// sibling task already froze it, otherwise when profiling ends (at the
+  /// latest in finish()). `metrics` receives the kProfile time. `trace`
+  /// (optional, owned by the map thread) receives stage transitions.
+  FreqBufferController(const FreqBufConfig& config, FreezeFn on_freeze,
                        mr::TaskMetrics& metrics,
                        NodeKeyCache* node_cache = nullptr,
                        obs::TraceBuffer* trace = nullptr);
@@ -125,10 +120,14 @@ class FreqBufferController {
   /// the task's input processed so far. Drives stage transitions.
   void set_progress(double fraction);
 
-  /// Routes one map-output tuple. Returns true if absorbed.
-  bool offer(std::string_view key, std::string_view value);
+  /// True until the key set is frozen; only then does observe() count.
+  bool profiling() const { return stage_ != Stage::kOptimize; }
 
-  /// Flushes the table into the spill sink. Call once at end of input.
+  /// Counts one map-output key toward the frequent-key profile.
+  void observe(std::string_view key);
+
+  /// Freezes the key set if input ended while still profiling (so the
+  /// node cache is populated for sibling tasks). Call once at end of input.
   void finish();
 
   Stage stage() const { return stage_; }
@@ -141,17 +140,12 @@ class FreqBufferController {
   /// before the fit happens).
   std::optional<sketch::ZipfFit> zipf_fit() const { return fit_; }
 
-  const FrequentKeyTable* table() const { return table_.get(); }
-
  private:
   void enter_profile_stage();
   void freeze_keys();
-  void start_optimize(std::vector<std::string> keys);
 
   FreqBufConfig config_;
-  std::uint64_t table_budget_bytes_;
-  mr::Reducer* combiner_;
-  mr::EmitSink& spill_sink_;
+  FreezeFn on_freeze_;
   mr::TaskMetrics& metrics_;
   NodeKeyCache* node_cache_;
   obs::TraceBuffer* trace_;
@@ -164,7 +158,6 @@ class FreqBufferController {
   sketch::ExactCounter pre_counts_;   // pre-profiling (exact over ~1%)
   std::optional<sketch::ZipfFit> fit_;
   std::unique_ptr<sketch::SpaceSaving> sketch_;
-  std::unique_ptr<FrequentKeyTable> table_;
 };
 
 }  // namespace textmr::freqbuf

@@ -54,21 +54,15 @@ struct JobSpec {
   /// consume-bound apps overlap several spills.
   std::uint32_t support_threads = 1;
 
-  /// Map-side combine strategy (DESIGN.md §15). kHash replaces the
-  /// ring/sort/spill pipeline with per-task shard hash tables that
-  /// combine on insert and radix-sort at flush time; support_threads,
-  /// spill_threshold and use_spill_matcher are then inert (there is no
-  /// ring to seal). Output stays byte-identical to kSort.
+  /// Map-side combine strategy (DESIGN.md §15). kHash puts the map-side
+  /// combining table in front of the spill ring and admits every key to
+  /// it, with spill_buffer_bytes as its budget; records it lets go take
+  /// the ring/sort/spill path as in kSort. Output stays byte-identical to
+  /// kSort.
   CombineMode combine_mode = CombineMode::kSort;
-  std::uint32_t hash_combine_shards = 8;
-  /// Per-shard resident-byte watermark; 0 derives it from
-  /// spill_buffer_bytes / hash_combine_shards (the tables inherit the
-  /// ring's memory budget).
-  std::size_t hash_combine_watermark_bytes = 0;
-  /// Watermark breaches before a shard is demoted to the sort-spill path.
-  std::uint32_t hash_combine_demote_flushes = 4;
 
-  /// Frequency-buffering configuration (paper §III).
+  /// Frequency-buffering configuration (paper §III). Under kHash it is
+  /// inert: hash-combine already admits every key.
   freqbuf::FreqBufConfig freqbuf;
 
   Grouping grouping = Grouping::kSorted;

@@ -8,7 +8,7 @@
 #include "common/failpoint.hpp"
 #include "common/mutex.hpp"
 #include "common/stopwatch.hpp"
-#include "mr/hash_combine.hpp"
+#include "mr/combine_table.hpp"
 #include "mr/merger.hpp"
 #include "mr/skew_partitioner.hpp"
 #include "mr/spill_buffer.hpp"
@@ -17,84 +17,103 @@
 namespace textmr::mr {
 namespace {
 
-/// Sink that serializes records into the spill buffer — the tail of the
-/// standard dataflow. Used directly by the frequency table's overflow /
-/// flush path and by the user-facing router below.
-class DirectSpillSink final : public EmitSink {
+/// The tail of the standard dataflow: frames records into the spill
+/// ring. Fed by the emit router (records the table does not take) and by
+/// the table's evictions.
+class SpillSink final : public PartitionedSink {
  public:
-  DirectSpillSink(SpillBuffer& buffer, SkewAwarePartitioner& partitioner,
-                  TaskMetrics& metrics)
-      : buffer_(buffer), partitioner_(partitioner), metrics_(metrics) {}
+  SpillSink(SpillBuffer& buffer, TaskMetrics& metrics)
+      : buffer_(buffer), metrics_(metrics) {}
 
-  void emit(std::string_view key, std::string_view value) override {
-    ScopedTimer timer(metrics_, Op::kEmit);
+  void put(std::uint32_t partition, std::string_view key,
+           std::string_view value) override {
     metrics_.spill_input_records += 1;
     metrics_.spill_input_bytes += key.size() + value.size();
-    buffer_.put(partitioner_(key), key, value);
+    buffer_.put(partition, key, value);
   }
 
  private:
   SpillBuffer& buffer_;
-  // Non-const: the split-key round-robin cursor advances per record.
-  // With a null plan this is exactly the old HashPartitioner path.
-  SkewAwarePartitioner& partitioner_;
   TaskMetrics& metrics_;
 };
 
-/// Sink that combines records on insert into the per-task shard hash
-/// tables — the hash-combine analogue of DirectSpillSink. All work
-/// happens on the map thread; flush time is self-accounted by the table
-/// and subtracted from kEmit afterwards.
-class DirectHashSink final : public EmitSink {
- public:
-  DirectHashSink(HashCombineShards& table, SkewAwarePartitioner& partitioner,
-                 TaskMetrics& metrics)
-      : table_(table), partitioner_(partitioner), metrics_(metrics) {}
-
-  void emit(std::string_view key, std::string_view value) override {
-    ScopedTimer timer(metrics_, Op::kEmit);
-    metrics_.spill_input_records += 1;
-    metrics_.spill_input_bytes += key.size() + value.size();
-    // The partitioner is consulted here, per record, exactly like the
-    // sort path's sink — a skew plan's split-key round-robin cursor must
-    // advance identically in both modes for byte-identical output.
-    table_.insert(partitioner_(key), key, value);
-  }
-
- private:
-  HashCombineShards& table_;
-  SkewAwarePartitioner& partitioner_;
-  TaskMetrics& metrics_;
-};
-
-/// The sink handed to user map() code: counts output volume, routes
-/// through frequency-buffering when active, and otherwise forwards to the
-/// spill path (ring or hash table).
+/// The sink handed to user map() code: counts output volume, feeds
+/// frequency-buffering's profiler, partitions the record (per record, at
+/// emit time, in every mode — a skew plan's split-key round-robin cursor
+/// must advance identically everywhere), then offers it to the combining
+/// table when there is one and sends what the table does not take down
+/// the spill path.
+///
+/// Timing: a ring put is timed into kEmit. The table path (probe and
+/// append, partitioning included) is timed for one record in 32 and
+/// scaled — kEmit in hash mode, kFreqTable under frequency-buffering —
+/// net of the work the table accounts itself (combine, evictions,
+/// flushes); per-record clock reads would cost a sizable share of the
+/// path they measure.
 class EmitRouter final : public EmitSink {
  public:
-  EmitRouter(EmitSink& spill_sink, freqbuf::FreqBufferController* freq,
-             TaskMetrics& metrics)
-      : spill_sink_(spill_sink), freq_(freq), metrics_(metrics) {}
+  EmitRouter(SkewAwarePartitioner& partitioner, SpillSink& spill,
+             CombineTable* table, Op table_op,
+             freqbuf::FreqBufferController* freq, TaskMetrics& metrics,
+             obs::TraceBuffer* trace)
+      : partitioner_(partitioner),
+        spill_(spill),
+        table_(table),
+        table_op_(table_op),
+        freq_(freq),
+        metrics_(metrics),
+        trace_(trace) {}
 
   void emit(std::string_view key, std::string_view value) override {
-    const std::uint64_t t0 = monotonic_ns();
     metrics_.map_output_records += 1;
     metrics_.map_output_bytes += key.size() + value.size();
-    if (freq_ == nullptr || !freq_->offer(key, value)) {
-      spill_sink_.emit(key, value);
+    if (freq_ != nullptr && freq_->profiling()) {
+      freq_->observe(key);  // self-timed into kProfile
     }
-    // Total time inside emit, used by the task to subtract framework time
-    // from the surrounding kMapUser interval (emit ops self-account).
-    inside_emit_ns_ += monotonic_ns() - t0;
+    if (table_ == nullptr) {
+      ScopedTimer timer(metrics_, Op::kEmit);
+      spill_.put(partitioner_(key), key, value);
+      return;
+    }
+    const bool timed = (metrics_.map_output_records & 31u) == 0;
+    const std::uint64_t t0 = timed ? monotonic_ns() : 0;
+    const std::uint64_t self_timed = table_->self_timed_ns();
+    const std::uint32_t partition = partitioner_(key);
+    const bool absorbed = table_->offer(partition, key, value);
+    if (timed) {
+      metrics_.op_ns(table_op_) +=
+          (monotonic_ns() - t0 - (table_->self_timed_ns() - self_timed)) * 32;
+      sample_table();
+    }
+    if (!absorbed) {
+      ScopedTimer timer(metrics_, Op::kEmit);
+      spill_.put(partition, key, value);
+    }
   }
 
-  std::uint64_t inside_emit_ns() const { return inside_emit_ns_; }
-
  private:
-  EmitSink& spill_sink_;
+  /// Frequency-buffering's occupancy and hit-rate time series (a single
+  /// branch when tracing is off).
+  void sample_table() {
+    if (trace_ == nullptr || freq_ == nullptr ||
+        (metrics_.map_output_records & 1023u) != 0) {
+      return;
+    }
+    obs::record_counter(trace_, "freq", "freq_buffered_bytes",
+                        static_cast<double>(table_->resident_bytes()));
+    obs::record_counter(
+        trace_, "freq", "freq_hit_rate",
+        static_cast<double>(table_->stats().absorbed) /
+            static_cast<double>(metrics_.map_output_records));
+  }
+
+  SkewAwarePartitioner& partitioner_;
+  SpillSink& spill_;
+  CombineTable* table_;
+  Op table_op_;
   freqbuf::FreqBufferController* freq_;
   TaskMetrics& metrics_;
-  std::uint64_t inside_emit_ns_ = 0;
+  obs::TraceBuffer* trace_;
 };
 
 /// Adopts (single run) or merges (several) the task's sorted runs into
@@ -137,121 +156,6 @@ void finish_map_output(const MapTaskConfig& config,
   }
 }
 
-/// The hash-combine variant of run_map_task (DESIGN.md §15): no ring, no
-/// support threads — the map thread drives the mapper and combines every
-/// emitted record straight into the shard tables. Sorting happens at
-/// flush time (radix over the key prefix), so the task's serialized work
-/// drops the per-record comparison sort entirely.
-MapTaskResult run_map_task_hash(const MapTaskConfig& config) {
-  MapTaskResult result;
-  const std::uint64_t task_start = monotonic_ns();
-
-  const std::uint32_t trace_pid = obs::map_task_pid(config.task_id);
-  obs::TraceBuffer* map_trace = nullptr;
-  if (config.trace != nullptr) {
-    const std::string process = "map_task_" + std::to_string(config.task_id);
-    map_trace = config.trace->make_buffer(trace_pid, obs::kMapThreadTid,
-                                          "map", process);
-  }
-  obs::SpanTimer task_span(map_trace, "task", "map_task");
-  task_span.arg("split_bytes", static_cast<double>(config.split.length));
-  task_span.arg("hash_combine", 1.0);
-
-  SkewAwarePartitioner partitioner(
-      config.skew_plan != nullptr ? config.skew_plan->num_canonical
-                                  : config.num_partitions,
-      config.skew_plan, config.task_id);
-  TEXTMR_CHECK(partitioner.num_partitions() == config.num_partitions,
-               "map task num_partitions disagrees with the skew plan");
-
-  Counters map_counters;
-  std::unique_ptr<Reducer> map_combiner =
-      config.combiner ? config.combiner() : nullptr;
-  if (map_combiner != nullptr) {
-    map_combiner->begin_task(TaskInfo{config.task_id, &map_counters});
-  }
-
-  HashCombineConfig hash_config;
-  hash_config.num_shards = config.hash_combine_shards;
-  hash_config.watermark_bytes = config.hash_combine_watermark_bytes;
-  hash_config.demote_after_flushes = config.hash_combine_demote_flushes;
-  hash_config.memory_budget_bytes = config.spill_buffer_bytes;
-  hash_config.num_partitions = config.num_partitions;
-  hash_config.format = config.spill_format;
-  HashCombineShards table(
-      hash_config, map_combiner.get(),
-      [&config](std::uint64_t sequence) {
-        return (config.scratch_dir /
-                (map_attempt_prefix(config.task_id, config.attempt) +
-                 "hspill" + std::to_string(sequence) + ".run"))
-            .string();
-      },
-      result.map_thread, map_trace);
-
-  DirectHashSink hash_sink(table, partitioner, result.map_thread);
-  std::unique_ptr<freqbuf::FreqBufferController> freq;
-  if (config.freqbuf.enabled) {
-    freq = std::make_unique<freqbuf::FreqBufferController>(
-        config.freqbuf, config.freq_table_budget_bytes, map_combiner.get(),
-        hash_sink, result.map_thread, config.node_cache, map_trace);
-  }
-  EmitRouter router(hash_sink, freq.get(), result.map_thread);
-
-  std::unique_ptr<Mapper> mapper = config.mapper();
-  mapper->begin_task(TaskInfo{config.task_id, &map_counters});
-  io::LineReader reader(config.split);
-  std::uint64_t offset = 0;
-  while (true) {
-    std::optional<std::string_view> line;
-    {
-      ScopedTimer read_timer(result.map_thread, Op::kMapRead);
-      line = reader.next_line();
-    }
-    if (!line.has_value()) break;
-    result.map_thread.input_records += 1;
-    result.map_thread.input_bytes += line->size() + 1;
-    if (freq != nullptr) {
-      freq->set_progress(reader.fraction_consumed());
-    }
-    if (config.progress != nullptr) {
-      config.progress->store(reader.fraction_consumed(),
-                             std::memory_order_relaxed);
-    }
-    TEXTMR_FAILPOINT("map.user_code");
-    {
-      ScopedTimer map_timer(result.map_thread, Op::kMapUser);
-      mapper->map(offset, *line, router);
-    }
-    ++offset;
-  }
-  if (freq != nullptr) {
-    freq->finish();
-    result.freq_stage_at_end = freq->stage();
-    result.freq_sampling_fraction = freq->effective_sampling_fraction();
-  }
-  // map() wall time included everything emit() did; those ops
-  // self-accounted, so subtract to leave pure user code in kMapUser.
-  std::uint64_t& map_user_ns = result.map_thread.op_ns(Op::kMapUser);
-  map_user_ns -= std::min(map_user_ns, router.inside_emit_ns());
-
-  // Watermark flushes ran inside insert(), i.e. inside the kEmit scope;
-  // their time self-accounted to kSort/kSpillWrite, so subtract it from
-  // kEmit (the finish() flush below runs outside any emit interval).
-  const std::uint64_t flush_in_emit = table.flush_ns();
-  std::vector<io::SpillRunInfo> runs = table.finish();
-  std::uint64_t& emit_ns = result.map_thread.op_ns(Op::kEmit);
-  emit_ns -= std::min(emit_ns, flush_in_emit);
-
-  result.spills = runs.size();
-  result.pipeline_wall_ns = monotonic_ns() - task_start;
-
-  finish_map_output(config, runs, map_combiner.get(), map_trace, result);
-
-  result.counters += map_counters;
-  result.wall_ns = monotonic_ns() - task_start;
-  return result;
-}
-
 }  // namespace
 
 std::string map_attempt_prefix(std::uint32_t task_id, std::uint32_t attempt) {
@@ -263,9 +167,10 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
   TEXTMR_CHECK(static_cast<bool>(config.mapper), "map task needs a mapper");
   TEXTMR_CHECK(config.num_partitions >= 1, "map task needs >= 1 partition");
   std::filesystem::create_directories(config.scratch_dir);
-  if (config.combine_mode == CombineMode::kHash) {
-    return run_map_task_hash(config);
-  }
+  // Frequency-buffering under hash-combine is hash-combine: the table
+  // already admits every key, so there is nothing to profile.
+  const bool hash_mode = config.combine_mode == CombineMode::kHash;
+  const bool freq_mode = !hash_mode && config.freqbuf.enabled;
 
   MapTaskResult result;
   const std::uint64_t task_start = monotonic_ns();
@@ -284,6 +189,7 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
   }
   obs::SpanTimer task_span(map_trace, "task", "map_task");
   task_span.arg("split_bytes", static_cast<double>(config.split.length));
+  if (hash_mode) task_span.arg("hash_combine", 1.0);
 
   // Spill policy (fixed 0.8 unless the job installed the spill-matcher).
   std::unique_ptr<spillmatch::SpillPolicy> policy =
@@ -387,19 +293,45 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
   }
 
   // ---- map thread (this thread) ------------------------------------------
-  DirectSpillSink spill_sink(buffer, partitioner, result.map_thread);
+  SpillSink spill_sink(buffer, result.map_thread);
   std::unique_ptr<Reducer> map_combiner =
       config.combiner ? config.combiner() : nullptr;
   if (map_combiner != nullptr) {
     map_combiner->begin_task(TaskInfo{config.task_id, &map_counters});
   }
-  std::unique_ptr<freqbuf::FreqBufferController> freq;
-  if (config.freqbuf.enabled) {
-    freq = std::make_unique<freqbuf::FreqBufferController>(
-        config.freqbuf, config.freq_table_budget_bytes, map_combiner.get(),
-        spill_sink, result.map_thread, config.node_cache, map_trace);
+  // The combining table (DESIGN.md §15): every key in hash mode; under
+  // frequency-buffering the frozen top-k set, and only with a combiner —
+  // without one the table could delay records but never shrink them.
+  std::unique_ptr<CombineTable> table;
+  if (hash_mode || (freq_mode && map_combiner != nullptr)) {
+    CombineTableConfig table_config;
+    table_config.budget_bytes = hash_mode ? config.spill_buffer_bytes
+                                          : config.freq_table_budget_bytes;
+    table_config.num_partitions = config.num_partitions;
+    table_config.format = config.spill_format;
+    table_config.admit_all = hash_mode;
+    table = std::make_unique<CombineTable>(
+        table_config, map_combiner.get(), spill_sink,
+        [&config](std::uint64_t sequence) {
+          return (config.scratch_dir /
+                  (map_attempt_prefix(config.task_id, config.attempt) +
+                   "hspill" + std::to_string(sequence) + ".run"))
+              .string();
+        },
+        result.map_thread, map_trace);
   }
-  EmitRouter router(spill_sink, freq.get(), result.map_thread);
+  std::unique_ptr<freqbuf::FreqBufferController> freq;
+  if (freq_mode) {
+    freq = std::make_unique<freqbuf::FreqBufferController>(
+        config.freqbuf,
+        [&table](std::vector<std::string> keys) {
+          if (table != nullptr) table->admit(keys);
+        },
+        result.map_thread, config.node_cache, map_trace);
+  }
+  EmitRouter router(partitioner, spill_sink, table.get(),
+                    hash_mode ? Op::kEmit : Op::kFreqTable, freq.get(),
+                    result.map_thread, map_trace);
 
   // The joins above/below make these reads safe, but the analysis (rightly)
   // cannot see a join; taking the lock is cheap and keeps the proof local.
@@ -407,6 +339,7 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
     textmr::MutexLock lock(shared.mu);
     return shared.error;
   };
+  std::vector<io::SpillRunInfo> table_runs;
 
   try {
     std::unique_ptr<Mapper> mapper = config.mapper();
@@ -442,10 +375,23 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
       result.freq_sampling_fraction = freq->effective_sampling_fraction();
     }
     // map() wall time included everything emit() did (serialization,
-    // profiling, table work, buffer waits); those self-accounted, so
-    // subtract them to leave pure user code in kMapUser.
-    std::uint64_t& map_user_ns = result.map_thread.op_ns(Op::kMapUser);
-    map_user_ns -= std::min(map_user_ns, router.inside_emit_ns());
+    // profiling, table work, buffer waits), and so far every other op on
+    // this thread happened inside emit(); subtract them to leave pure user
+    // code in kMapUser.
+    TaskMetrics& m = result.map_thread;
+    const std::uint64_t inside_emit =
+        m.total_ns(true) - m.op_ns(Op::kMapUser) - m.op_ns(Op::kMapRead);
+    m.op_ns(Op::kMapUser) -= std::min(m.op_ns(Op::kMapUser), inside_emit);
+    if (table != nullptr) {
+      if (freq != nullptr) {
+        obs::record_instant(map_trace, "freq", "freq_flush",
+                            "buffered_bytes",
+                            static_cast<double>(table->resident_bytes()));
+      }
+      // The residue becomes one sorted run (self-timed into kSort,
+      // kCombine and kSpillWrite, outside any emit interval).
+      table_runs = table->finish();
+    }
   } catch (...) {
     // Map-side failure (user code or a support-thread abort surfacing
     // through put()): shut the pipeline down, join, and report the root
@@ -470,6 +416,18 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
       runs.push_back(std::move(info));
     }
   }
+  runs.insert(runs.end(), table_runs.begin(), table_runs.end());
+  if (table != nullptr) {
+    const CombineTableStats& stats = table->stats();
+    if (hash_mode) {
+      result.map_thread.hash_combine_hits += stats.hits;
+      result.map_thread.hash_combine_flushes += stats.flushes;
+      result.map_thread.hash_combine_demotions += stats.demotions;
+    } else {
+      result.map_thread.freq_hits += stats.absorbed;
+      result.map_thread.freq_flushes += stats.evicted + stats.flushed;
+    }
+  }
   result.pipeline_wall_ns = monotonic_ns() - task_start;
 
   // Map-thread emit time currently includes buffer-full waits; move them
@@ -479,7 +437,7 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
   emit_ns -= std::min(emit_ns, map_wait);
   result.map_thread.op_ns(Op::kMapIdle) += map_wait;
   result.support_thread.op_ns(Op::kSupportIdle) += buffer.consumer_wait_ns();
-  result.spills = buffer.spills_sealed();
+  result.spills = buffer.spills_sealed() + table_runs.size();
   result.final_spill_threshold = buffer.threshold();
 
   // ---- final merge --------------------------------------------------------

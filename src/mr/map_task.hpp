@@ -41,18 +41,12 @@ struct MapTaskConfig {
   std::size_t spill_buffer_bytes = 16u << 20;
   io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
 
-  /// Map-side combine strategy (DESIGN.md §15). kSort runs the classic
-  /// ring/sort/spill pipeline below; kHash combines on insert into
-  /// per-task shard hash tables on the map thread itself (no support
-  /// threads, no ring) and radix-sorts at flush time. The two modes
-  /// produce byte-identical task output.
+  /// Map-side combine strategy (DESIGN.md §15). kHash puts the combining
+  /// table, admitting every key, in front of the ring/sort/spill pipeline
+  /// with the whole spill_buffer_bytes as its budget; the ring then only
+  /// carries what the table lets go. The modes produce byte-identical
+  /// task output.
   CombineMode combine_mode = CombineMode::kSort;
-  std::uint32_t hash_combine_shards = 8;
-  /// Per-shard resident-byte watermark; 0 derives it from the memory
-  /// budget (spill_buffer_bytes, which the hash tables inherit).
-  std::size_t hash_combine_watermark_bytes = 0;
-  /// Watermark breaches before a shard is demoted to the sort-spill path.
-  std::uint32_t hash_combine_demote_flushes = 4;
   /// Number of support (sort/combine/spill) threads — the paper's
   /// "one or more support threads" (§IV-A). 1 reproduces Hadoop's
   /// 1-map/1-support pipeline that the spill-matcher analysis assumes.
@@ -62,9 +56,10 @@ struct MapTaskConfig {
   /// Spill threshold policy; if null, Hadoop's fixed 0.8 is used.
   spillmatch::SpillPolicyFactory spill_policy;
 
-  /// Frequency-buffering; `freqbuf.enabled` gates it. When enabled, the
-  /// engine has already carved `table_budget_bytes` out of the memory
-  /// budget (spill_buffer_bytes excludes it).
+  /// Frequency-buffering; `freqbuf.enabled` gates it in kSort mode (under
+  /// kHash the table already admits every key). When enabled, the engine
+  /// has already carved `freq_table_budget_bytes` out of the memory budget
+  /// (spill_buffer_bytes excludes it).
   freqbuf::FreqBufConfig freqbuf;
   std::uint64_t freq_table_budget_bytes = 0;
   freqbuf::NodeKeyCache* node_cache = nullptr;  // may be null
@@ -104,7 +99,9 @@ std::string map_attempt_prefix(std::uint32_t task_id, std::uint32_t attempt);
 
 /// Runs one map task: map thread (caller's thread) + one support thread,
 /// exactly Hadoop's 1-map 1-support structure that the paper instruments
-/// (§II-C2) and optimizes (§III, §IV).
+/// (§II-C2) and optimizes (§III, §IV). The map thread routes each emitted
+/// record through the combining table when one is active (hash-combine or
+/// frequency-buffering) and into the spill ring otherwise.
 MapTaskResult run_map_task(const MapTaskConfig& config);
 
 }  // namespace textmr::mr

@@ -54,10 +54,10 @@ struct TaskMetrics {
   std::uint64_t map_output_records = 0;   // records emitted by map()
   std::uint64_t map_output_bytes = 0;     // serialized bytes emitted by map()
   std::uint64_t freq_hits = 0;            // records absorbed by the freq table
-  std::uint64_t freq_flushes = 0;         // records re-emitted by table flushes
+  std::uint64_t freq_flushes = 0;         // records the freq table let go
   std::uint64_t hash_combine_hits = 0;     // probe hits in the hash-combine path
-  std::uint64_t hash_combine_flushes = 0;  // watermark flushes of hash shards
-  std::uint64_t hash_combine_demotions = 0;  // shards demoted to sort-spill
+  std::uint64_t hash_combine_flushes = 0;  // full-table flushes (hash mode)
+  std::uint64_t hash_combine_demotions = 0;  // tables demoted to sort-spill
   std::uint64_t spill_input_records = 0;  // records entering the spill buffer
   std::uint64_t spill_input_bytes = 0;    // bytes entering the spill buffer
   std::uint64_t spilled_records = 0;      // records written to spill runs

@@ -20,7 +20,7 @@ SpillBuffer::SpillBuffer(std::size_t capacity_bytes, double initial_threshold,
                          obs::TraceBuffer* trace, const common::Clock* clock)
     : capacity_(capacity_bytes),
       format_(format),
-      ring_(capacity_bytes),
+      ring_(new char[capacity_bytes]),
       max_outstanding_(max_outstanding),
       trace_(trace),
       clock_(clock != nullptr ? clock : &common::system_clock()) {
@@ -115,7 +115,7 @@ void SpillBuffer::put(std::uint32_t partition, std::string_view key,
     current_ring_bytes_ += pad;
     tail_ = 0;
   }
-  char* dest = ring_.data() + tail_;
+  char* dest = ring_.get() + tail_;
   const std::size_t header =
       io::encode_frame_header(dest, key.size(), value.size(), format_);
   std::memcpy(dest + header, key.data(), key.size());

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -148,8 +149,10 @@ class SpillBuffer {
   // Ring *payload* (framed records). Not guarded: the producer writes a
   // record's bytes under mu_, and once the region is sealed its bytes are
   // immutable until release(), so consumers read them lock-free through
-  // the RecordRefs of the Spill they took.
-  std::vector<char> ring_;  // check:allow(lock-coverage): see above
+  // the RecordRefs of the Spill they took. Left uninitialized: a page
+  // becomes resident only once a record lands on it, so a task whose
+  // records all stay in the combining table pays no ring memory.
+  std::unique_ptr<char[]> ring_;  // check:allow(lock-coverage): see above
 
   mutable textmr::Mutex mu_{textmr::LockRank::kSpillBuffer,
                             "mr.spill_buffer"};

@@ -39,7 +39,9 @@ std::filesystem::path reduce_task_output_path(const JobSpec& spec,
                                               std::uint32_t partition);
 
 /// Map-side memory split between the spill buffer and the frequent-key
-/// table (total fixed, paper §V-B2).
+/// table (total fixed, paper §V-B2). Under hash-combine there is no
+/// frequent-key table: the combining table and the ring each get the
+/// whole spill_buffer_bytes.
 struct MemorySplit {
   std::size_t spill_buffer_bytes = 0;
   std::uint64_t freq_table_budget_bytes = 0;

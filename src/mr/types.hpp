@@ -11,11 +11,11 @@ namespace textmr::mr {
 
 /// Map-side combine strategy (DESIGN.md §15). kSort is the classic
 /// Hadoop shape: frame into the spill ring, sort, combine per key group,
-/// spill. kHash combines on insert into per-task shard hash tables and
-/// defers sorting to flush time (a radix pass on the 8-byte key prefix);
-/// a memory watermark demotes a pressured shard back to the sort path,
-/// so the two modes are byte-identical by construction and by the
-/// differential grid.
+/// spill. kHash first buffers every key in the map-side combining table,
+/// which combines per key and defers sorting to flush time (a radix pass
+/// on the 8-byte key prefix); what it lets go, and everything once a full
+/// table has stopped admitting, takes the sort path. The two modes are
+/// byte-identical by construction and by the differential grid.
 enum class CombineMode : std::uint8_t { kSort, kHash };
 
 /// Sink for intermediate records produced by map() (and by combine()).

@@ -49,15 +49,14 @@
 #include "text/tokenize.hpp"
 
 #include "freqbuf/controller.hpp"
-#include "freqbuf/frequent_key_table.hpp"
 
 #include "cluster/engine.hpp"
 #include "cluster/protocol.hpp"
 #include "cluster/straggler.hpp"
 #include "cluster/worker.hpp"
 
+#include "mr/combine_table.hpp"
 #include "mr/engine.hpp"
-#include "mr/hash_combine.hpp"
 #include "mr/job.hpp"
 #include "mr/map_task.hpp"
 #include "mr/merger.hpp"

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <map>
 #include <vector>
 
 #include "common/varint.hpp"
 #include "apps/access_log.hpp"
+#include "apps/app_suite.hpp"
 #include "apps/inverted_index.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/syntext.hpp"
@@ -288,6 +290,30 @@ TEST(SynText, MapperIsDeterministic) {
   a.map(0, "same input line", sa);
   b.map(0, "same input line", sb);
   EXPECT_EQ(sa.records, sb.records);
+}
+
+TEST(AppRegistry, EveryEntryResolvesByNameAndLowerCaseName) {
+  const std::vector<AppBundle> registry = single_job_apps();
+  ASSERT_EQ(registry.size(), 8u);
+  for (const AppBundle& app : registry) {
+    std::string lower = app.name;
+    for (char& c : lower) c = static_cast<char>(std::tolower(c));
+    for (const std::string& name : {app.name, lower}) {
+      const auto found = find_app(name);
+      ASSERT_TRUE(found.has_value()) << name;
+      EXPECT_EQ(found->name, app.name);
+      EXPECT_TRUE(static_cast<bool>(found->mapper)) << name;
+      EXPECT_TRUE(static_cast<bool>(found->reducer)) << name;
+    }
+  }
+  // The CLI's spellings, including the two apps it used to miss.
+  for (const char* name :
+       {"wordcount", "invertedindex", "wordpostag", "accesslogsum",
+        "accesslogjoin", "pagerank", "accesslogjoinsorted", "sessionize"}) {
+    EXPECT_TRUE(find_app(name).has_value()) << name;
+  }
+  EXPECT_FALSE(find_app("nosuchapp").has_value());
+  EXPECT_FALSE(find_app("wordcoun").has_value());
 }
 
 }  // namespace

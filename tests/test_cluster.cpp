@@ -741,14 +741,12 @@ TEST(ClusterSoak, RandomWorkerKillsNeverCorruptOutput) {
       spec.skew.split_threshold = 0.4;
       spec.skew.max_split_shares = 3;
     }
-    // Even iterations soak the sharded hash-combine path (DESIGN.md §15)
-    // with a tiny watermark, so SIGKILLs also land mid hash-flush and
-    // mid-demotion; the restarted task must rebuild identical output.
+    // Even iterations soak the hash-combine path (DESIGN.md §15) in a
+    // 16 KiB memory budget, so SIGKILLs also land mid table-flush and
+    // after demotion; the restarted task must rebuild identical output.
     if (iteration % 2 == 0) {
       spec.combine_mode = mr::CombineMode::kHash;
-      spec.hash_combine_shards = 4;
-      spec.hash_combine_watermark_bytes = 4096;
-      spec.hash_combine_demote_flushes = 2;
+      spec.spill_buffer_bytes = 16u << 10;
     }
     const auto result = engine.run(spec);
     killer.join();

@@ -98,7 +98,9 @@ TEST(FailureInjection, FreqBufCombinerFailurePropagates) {
   spec.freqbuf.enabled = true;
   spec.freqbuf.top_k = 20;
   spec.freqbuf.sampling_fraction = 0.02;
-  spec.freqbuf.per_key_limit_bytes = 8;  // force combine calls in the table
+  // A 20 KiB table (2% of the 1 MiB budget) gives the 20 frequent keys
+  // a 262-byte combine limit, so the table calls the combiner too.
+  spec.freqbuf.table_budget_fraction = 0.02;
   std::atomic<int> calls{0};
   spec.combiner = [&calls] {
     return std::make_unique<mr::LambdaReducer>(

@@ -232,9 +232,9 @@ struct DiffParams {
   std::string fail_spec;  // empty = no fault injection
   bool skew = false;      // skew-aware partitioner on the optimized run
   // Map-side combine axis (DESIGN.md §15): 0 = sort-spill baseline,
-  // 1 = sharded hash-combine, 2 = hash-combine with a tiny forced
-  // watermark + demote-after-one-flush (every shard flushes AND demotes
-  // mid-stream). All three must be byte-identical.
+  // 1 = hash-combine, 2 = hash-combine in a 4 KiB memory budget (the
+  // table fills, flushes and demotes mid-stream). All three must be
+  // byte-identical.
   int combine = 0;
 };
 
@@ -243,15 +243,29 @@ const char* combine_name(int combine) {
 }
 
 /// Applies the combine axis to a spec (shared by the local and cluster
-/// differential grids).
+/// differential grids). The forced cell shrinks the map-side memory
+/// budget, which the combining table and the spill ring share in hash
+/// mode, until a few hundred keys overfill the table.
 void apply_combine_mode(mr::JobSpec& spec, int combine) {
   if (combine == 0) return;
   spec.combine_mode = mr::CombineMode::kHash;
-  spec.hash_combine_shards = 4;
-  if (combine == 2) {
-    spec.hash_combine_watermark_bytes = 2048;
-    spec.hash_combine_demote_flushes = 1;
-  }
+  if (combine == 2) spec.spill_buffer_bytes = 4u << 10;
+}
+
+/// Folds a pipeline's first-job table counters into its final result,
+/// so the forced-pressure check covers the pipeline as a whole.
+void add_table_counters(const mr::JobResult& first, mr::JobResult& last) {
+  last.metrics.work.hash_combine_flushes +=
+      first.metrics.work.hash_combine_flushes;
+  last.metrics.work.hash_combine_demotions +=
+      first.metrics.work.hash_combine_demotions;
+}
+
+/// A forced cell must really have flushed and demoted the table.
+void expect_forced_pressure(const mr::JobResult& result, int combine) {
+  if (combine != 2) return;
+  EXPECT_GT(result.metrics.work.hash_combine_flushes, 0u);
+  EXPECT_GT(result.metrics.work.hash_combine_demotions, 0u);
 }
 
 void PrintTo(const DiffParams& p, std::ostream* os) {
@@ -266,14 +280,8 @@ void PrintTo(const DiffParams& p, std::ostream* os) {
 /// "TfIdfPipeline" resolves to job 1's bundle for dataset selection; the
 /// test body chains job 2 behind it.
 apps::AppBundle diff_bundle(const std::string& name) {
-  if (name == "WordCount") return apps::wordcount_app();
-  if (name == "InvertedIndex") return apps::inverted_index_app();
-  if (name == "WordPOSTag") return apps::word_pos_tag_app(1);
-  if (name == "AccessLogSum") return apps::access_log_sum_app();
-  if (name == "AccessLogJoinSorted") return apps::access_log_join_sorted_app();
-  if (name == "Sessionize") return apps::sessionize_app();
   if (name == "TfIdfPipeline") return apps::tfidf_job1_app();
-  return apps::access_log_join_app();
+  return apps::find_app(name, /*pos_work_passes=*/1).value();
 }
 
 /// Skew-partitioner settings that reliably produce a non-empty plan on
@@ -406,6 +414,7 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
     job2.retry_backoff_base_ms = 0;
     auto result = engine.run(job2);
     tasks_retried += result.metrics.tasks_retried;
+    add_table_counters(mid, result);
     return result;
   };
 
@@ -418,6 +427,7 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
   if (!p.fail_spec.empty()) {
     EXPECT_GE(tasks_retried, 1u);
   }
+  expect_forced_pressure(result, p.combine);
 
   if (p.app == "AccessLogJoin") {
     // Join rows repeat per key and their order within a reduce group
@@ -589,7 +599,9 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
     auto job2 = test::make_job(apps::tfidf_job2_app(), mid_splits,
                                dir.file("s2-" + tag), dir.file("o2-" + tag));
     configure(job2);
-    return engine.run(job2);
+    auto result = engine.run(job2);
+    add_table_counters(mid, result);
+    return result;
   };
 
   mr::LocalEngine local;
@@ -623,6 +635,8 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
   }
   EXPECT_EQ(result.metrics.map_tasks, oracle.metrics.map_tasks);
   EXPECT_EQ(result.metrics.reduce_tasks, oracle.metrics.reduce_tasks);
+  expect_forced_pressure(result, p.combine);
+  expect_forced_pressure(oracle, p.combine);
 }
 
 std::vector<ClusterDiffParams> cluster_differential_matrix() {

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "mr/hash_combine.hpp"
+#include "mr/combine_table.hpp"
 #include "mr/merger.hpp"
 #include "mr/record_arena.hpp"
 #include "mr/spill_buffer.hpp"
@@ -131,13 +131,13 @@ TEST(RecordPathAllocations, SpillRingPutAllocatesAmortizedConstant) {
   EXPECT_EQ(drained, kN);
 }
 
-TEST(RecordPathAllocations, HashCombineInsertAllocatesAmortizedConstant) {
-  // ISSUE 10 acceptance: the hash-combine hit path is allocation-free at
-  // steady state. Once every key is resident — slots sized, entry vectors
-  // grown, the value heap warm — a further wave of inserts combines
-  // in-place: the combiner's staging buffers are reused members, totals
-  // stay in SSO range, and only value-heap doubling (O(log n)) may touch
-  // the heap.
+TEST(RecordPathAllocations, CombineTableOfferAllocatesAmortizedConstant) {
+  // The combining table's hit path is allocation-free at steady state.
+  // Once every key is resident — slots sized, the entry vector grown, the
+  // value heap reserved — a further wave of offers appends into each
+  // key's block and combines in place at the per-key limit: the
+  // combiner's staging buffer is a reused member and totals stay in SSO
+  // range.
   constexpr std::size_t kN = 20000;
   const Corpus corpus = make_corpus(kN);
   // Allocation-free summing combiner: parses digits from the view and
@@ -159,30 +159,40 @@ TEST(RecordPathAllocations, HashCombineInsertAllocatesAmortizedConstant) {
                                                 end - buf)));
       });
   TaskMetrics metrics;
-  HashCombineConfig config;
-  config.num_shards = 4;
+  class NoOverflow final : public PartitionedSink {
+    void put(std::uint32_t, std::string_view, std::string_view) override {
+      ADD_FAILURE() << "a counter must never leave the table";
+    }
+  } overflow;
+  CombineTableConfig config;
   config.num_partitions = 4;
-  config.memory_budget_bytes = 256u << 20;  // no watermark flushes
-  HashCombineShards table(
-      config, combiner.get(),
+  config.budget_bytes = 64u << 20;  // no full-table flushes
+  CombineTable table(
+      config, combiner.get(), overflow,
       [](std::uint64_t) -> std::string {
         ADD_FAILURE() << "no flush expected under a huge budget";
         return "/nonexistent/run";
       },
       metrics, nullptr);
+  // Each wave gives each of the 500 keys ~40 values, so a key passes the
+  // 4 KiB per-key limit and combines every ~20 waves.
+  constexpr int kWaves = 30;
   auto feed = [&] {
-    for (std::size_t i = 0; i < kN; ++i) {
-      table.insert(static_cast<std::uint32_t>(i % 4), corpus.keys[i],
-                   corpus.values[i]);
+    for (int wave = 0; wave < kWaves; ++wave) {
+      for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_TRUE(table.offer(0, corpus.keys[i], corpus.values[i]));
+      }
     }
   };
-  feed();  // warm-up: keys enter the table, slots/entries/heap grow here
+  feed();  // warm-up: keys enter the table, slots/entries/blocks grow here
+  const std::uint64_t combine_ns = metrics.op_ns(Op::kCombine);
   const std::uint64_t before = allocations();
-  feed();  // steady state: every insert is a combine hit
+  feed();  // steady state: every offer is a hit, some combine in place
   const std::uint64_t delta = allocations() - before;
-  EXPECT_LE(delta, 64u) << "hash-combine hit path allocates per record";
-  EXPECT_EQ(table.stats().records, 2 * kN);
-  EXPECT_GE(table.stats().hits, kN);  // whole second wave must be hits
+  EXPECT_LE(delta, 64u) << "combining-table hit path allocates per record";
+  EXPECT_GT(metrics.op_ns(Op::kCombine), combine_ns);
+  EXPECT_EQ(table.stats().absorbed, 2 * kWaves * kN);
+  EXPECT_GE(table.stats().hits, kWaves * kN);  // later waves are all hits
   EXPECT_EQ(table.stats().flushes, 0u);
 }
 

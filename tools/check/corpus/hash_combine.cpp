@@ -1,11 +1,12 @@
-// textmr-check self-test corpus: the hash-combine shard table's two
-// failure modes (DESIGN.md §15). Case 1: a RecordRef reference held
+// textmr-check self-test corpus: two failure modes of offset-addressed
+// map-side tables (DESIGN.md §15). Case 1: a RecordRef reference held
 // across RecordArena growth — append() returns a reference into the
 // arena's ref table, which the *next* append() may reallocate
-// (view-escape). Case 2: an unguarded load_* read over the shard's
+// (view-escape). Case 2: an unguarded load_* read over an
 // offset-addressed vector<char> value heap (decoder-bounds). The real
-// src/mr/hash_combine.cpp copies RecordRefs by value and TEXTMR_CHECKs
-// every heap offset; these snippets are the shapes it must avoid.
+// combining table (src/mr/combine_table.cpp) keeps offsets, never
+// references, and TEXTMR_CHECKs every heap view; these snippets are the
+// shapes it must avoid.
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -30,8 +31,8 @@ void bad_ref_across_growth(RecordArena& arena) {
   sink(first.key_prefix);  // check:expect(view-escape)
 }
 
-// Control: copying the RecordRef by value (the shard table's Entry
-// stores it this way) survives any number of later appends.
+// Control: copying the RecordRef by value survives any number of later
+// appends.
 void good_copy_across_growth(RecordArena& arena) {
   const RecordRef first = arena.append(0, "alpha", "1");
   arena.append(0, "beta", "1");
@@ -55,7 +56,7 @@ std::uint32_t load_chain_next(const std::vector<char>& heap,
   return next;
 }
 
-// Control: the guarded form (what src/mr/hash_combine.cpp does).
+// Control: the guarded form.
 void require(bool ok);
 std::uint32_t load_chain_next_guarded(const std::vector<char>& heap,
                                       std::size_t offset) {
